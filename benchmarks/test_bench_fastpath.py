@@ -24,7 +24,6 @@ from repro.experiments.grid import GridRunner
 from repro.fleet import FleetRunner, PopulationSpec, build_report
 from repro.fleet.fastpath import build_table, cross_validate, replay_shard
 from repro.fleet.shard import simulate_device_day
-from repro.fleet.stats import _numpy
 
 #: Narrow sampling pools keep the benchmark's transition table small
 #: (the speedup is per *device-day*; class diversity only moves the
@@ -103,8 +102,7 @@ def test_bench_fastpath(results_path, tmp_path):
     smoke_runner = FleetRunner(
         smoke_pop, runner=GridRunner(jobs=1, cache=False), mode="auto",
         checkpoint_dir=str(tmp_path / "ck-smoke"))
-    assert smoke_runner.mode == (
-        "vector" if _numpy() is not None else "fast")
+    assert smoke_runner.mode == "vector"
     smoke_merged = smoke_runner.run()
     smoke_s = time.perf_counter() - start
     smoke_days = smoke_pop.devices * len(smoke_pop.mitigations)

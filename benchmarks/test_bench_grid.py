@@ -21,7 +21,7 @@ from repro.experiments import table5
 from repro.experiments.grid import GridRunner
 
 #: Simulated minutes per case: scaled up so per-job compute dominates
-#: pool startup, mirroring production-size sweeps.
+#: worker startup, mirroring production-size sweeps.
 MINUTES = 150.0
 
 
@@ -98,5 +98,6 @@ def test_bench_grid_speedup(results_path, tmp_path):
     # O(1) running totals: latency must not scale with the rail count.
     assert large / small < 8.0
     # Fan-out only pays on multi-core hardware; gate there, record anywhere.
-    if (os.cpu_count() or 1) >= 4 and cold.stats.pool_fallbacks == 0:
+    if (os.cpu_count() or 1) >= 4 \
+            and cold._fanout.stats.serial_fallbacks == 0:
         assert serial_s / parallel_s >= 2.0

@@ -335,7 +335,7 @@ def _cmd_fleet(args):
     # report files, so run counters stay on stderr.
     execution = {"mode": fleet_runner.mode,
                  "requested_mode": fleet_runner.requested_mode}
-    if fleet_runner.mode in ("fast", "vector"):
+    if fleet_runner.mode == "vector":
         execution["table_fingerprint"] = \
             fleet_runner.table_fingerprint or ""
     validation = None
@@ -378,11 +378,9 @@ def _cmd_fleet(args):
                 args.exit_code = 1
     report = build_report(population, merged, execution=execution)
     text = render(report)
-    if fleet_runner.mode in ("fast", "vector"):
-        text += ("\n\nexecution: {} path, transition table {}".format(
-            "columnar vector" if fleet_runner.mode == "vector"
-            else "fast",
-            (fleet_runner.table_fingerprint or "")[:12]))
+    if fleet_runner.mode == "vector":
+        text += ("\n\nexecution: columnar vector path, transition table "
+                 "{}".format((fleet_runner.table_fingerprint or "")[:12]))
     if validation is not None:
         text += ("\ncross-validation: {} vs kernel on {} device-days "
                  "(see report execution block)".format(
@@ -799,16 +797,12 @@ def build_parser():
                                   "report (default: "
                                   "results/fleet_s<seed>_d<devices>.json)")
             sub.add_argument("--mode",
-                             choices=("kernel", "fast", "vector", "auto"),
+                             choices=("kernel", "vector", "auto"),
                              default="kernel",
                              help="device-day executor: the full event "
-                                  "kernel, the kernel-validated "
-                                  "transition-table fast path, the "
-                                  "columnar vectorized engine, or auto "
-                                  "(vector/fast for large fleets)")
-            sub.add_argument("--fast-path", action="store_const",
-                             dest="mode", const="fast",
-                             help="shorthand for --mode fast")
+                                  "kernel, the columnar engine over the "
+                                  "kernel-validated transition table, "
+                                  "or auto (vector for large fleets)")
             sub.add_argument("--cross-validate", type=int, default=0,
                              metavar="N",
                              help="run N seeded random device-days "

@@ -8,11 +8,12 @@ simulations. This module makes that structure first-class:
   (one ``run_case`` invocation, referenced by case key and mitigation
   name) or a :class:`FuncSpec` (a module-level function plus scalar
   kwargs);
-- :class:`GridRunner` fans specs out over a
-  ``concurrent.futures.ProcessPoolExecutor`` (``jobs`` argument, or the
-  ``REPRO_JOBS`` environment variable; ``jobs=1`` or an unavailable pool
-  degrades gracefully to in-process serial execution) and always returns
-  results in *spec order*, regardless of completion order;
+- :class:`GridRunner` fans specs out over forked workers through a
+  :class:`~repro.resilience.supervisor.Supervisor` (``jobs`` argument,
+  or the ``REPRO_JOBS`` environment variable; ``jobs=1`` runs serially
+  in-process, and a platform without worker processes degrades to
+  in-process attempts) and always returns results in *spec order*,
+  regardless of completion order;
 - completed jobs are memoised in a content-addressed on-disk cache
   (JSON files under ``results/.cache/`` by default) keyed by a stable
   hash of the spec plus a code-version salt, so re-running a sweep after
@@ -30,7 +31,6 @@ import hashlib
 import importlib
 import json
 import os
-import sys
 import tempfile
 
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -306,11 +306,6 @@ class FuncSpec:
         return _import_obj(self.func)(**dict(self.kwargs))
 
 
-def _execute_spec(spec):
-    """Module-level trampoline so specs run under a process pool."""
-    return spec.execute()
-
-
 # -- the cache ----------------------------------------------------------------
 
 class ResultCache:
@@ -400,9 +395,7 @@ class RunnerStats:
     executed: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    pool_batches: int = 0
     serial_batches: int = 0
-    pool_fallbacks: int = 0
     supervised_batches: int = 0
     failed: int = 0  # supervised jobs that ended in quarantine
 
@@ -429,6 +422,12 @@ class GridRunner:
     deadline/retry/quarantine state machine and jobs that end in
     quarantine come back as ``None`` entries (recorded in
     ``supervisor.manifest``) instead of failing the whole run.
+
+    Without one, a batch of two or more jobs with ``effective_jobs > 1``
+    dispatches through a private supervisor that makes one attempt per
+    job and fails the run on the first error (:class:`~repro.resilience.
+    errors.JobQuarantined` naming the job's exception), ignoring
+    ``REPRO_HARNESS_FAULTS``; everything else runs serially in-process.
     """
 
     def __init__(self, jobs=None, cache=None, salt=None, supervisor=None):
@@ -444,10 +443,9 @@ class GridRunner:
         self.cache = cache
         self.supervisor = supervisor
         self.stats = RunnerStats()
-        #: Why the last pool bootstrap failed, or None (structured
-        #: counterpart of the one-time stderr fallback log).
-        self.pool_fallback_reason = None
-        self._pool_fallback_logged = False
+        #: The unsupervised runner's fan-out supervisor, built on first
+        #: parallel batch.
+        self._fanout = None
 
     def run(self, specs, full=False, labels=None, on_result=None):
         """Execute ``specs``; results come back in spec order.
@@ -515,7 +513,7 @@ class GridRunner:
     def effective_jobs(self):
         """Worker count after clamping to the machine's core count.
 
-        Fanning four workers out on a single core only adds pool and
+        Fanning four workers out on a single core only adds fork and
         pickling overhead on top of the same serial compute (observed as
         a bogus <1.0 "speedup" in BENCH_grid.json on 1-core machines).
         """
@@ -529,15 +527,12 @@ class GridRunner:
         feeds the caller's ``on_result``).
         """
         on_complete = on_complete or (lambda spec, result: None)
-        if self.supervisor is not None:
-            return self._execute_supervised(specs, label_for, on_complete)
-        workers = min(self.effective_jobs, len(specs))
-        if workers > 1:
-            try:
-                return self._execute_pool(specs, workers, on_complete)
-            except _pool_unavailable_errors() as exc:
-                self.stats.pool_fallbacks += 1
-                self._note_pool_fallback(exc)
+        supervisor = self.supervisor
+        if supervisor is None and min(self.effective_jobs, len(specs)) > 1:
+            supervisor = self._fanout_supervisor()
+        if supervisor is not None:
+            return self._execute_supervised(supervisor, specs, label_for,
+                                            on_complete)
         self.stats.serial_batches += 1
         out = {}
         for spec in specs:
@@ -547,56 +542,28 @@ class GridRunner:
             on_complete(spec, result)
         return out
 
-    def _execute_pool(self, specs, workers, on_complete):
-        from concurrent.futures import ProcessPoolExecutor
+    def _fanout_supervisor(self):
+        if self._fanout is None:
+            from repro.resilience.hooks import HarnessFaults
+            from repro.resilience.supervisor import Supervisor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {spec: pool.submit(_execute_spec, spec)
-                       for spec in specs}
-            out = {spec: future.result()
-                   for spec, future in futures.items()}
-        self.stats.pool_batches += 1
-        self.stats.executed += len(specs)
-        for spec, result in out.items():
-            on_complete(spec, result)
-        return out
+            self._fanout = Supervisor(max_retries=0, fail_fast=True,
+                                      harness_faults=HarnessFaults())
+        return self._fanout
 
-    def _execute_supervised(self, specs, label_for, on_complete):
+    def _execute_supervised(self, supervisor, specs, label_for,
+                            on_complete):
         self.stats.supervised_batches += 1
         labels = None
         if label_for:
-            labels = [label_for.get(spec,
-                                    self.supervisor.label_for(spec, index))
+            labels = [label_for.get(spec, supervisor.label_for(spec, index))
                       for index, spec in enumerate(specs)]
-        out = self.supervisor.execute(
+        out = supervisor.execute(
             specs, labels=labels, workers=self.effective_jobs,
             on_result=on_complete)
         self.stats.executed += len(out)
         self.stats.failed += len(specs) - len(out)
         return out
-
-    def _note_pool_fallback(self, exc):
-        self.pool_fallback_reason = "{}: {}".format(type(exc).__name__,
-                                                    exc)
-        if not self._pool_fallback_logged:
-            self._pool_fallback_logged = True
-            print("grid: process pool unavailable ({}); falling back to "
-                  "serial in-process execution".format(
-                      self.pool_fallback_reason), file=sys.stderr)
-
-
-def _pool_unavailable_errors():
-    """The exception classes that mean "no process pool here".
-
-    Deliberately narrow: a job's own exception (bad spec, simulation
-    bug) must propagate, not silently re-run serially. Pool-bootstrap
-    failures are import errors (no ``_multiprocessing``), OS errors
-    (no ``/dev/shm``, seccomp-blocked ``sem_open``), or a pool whose
-    workers were killed before finishing (``BrokenExecutor``).
-    """
-    from concurrent.futures import BrokenExecutor
-
-    return (ImportError, NotImplementedError, OSError, BrokenExecutor)
 
 
 def runner_from_args(args):
@@ -607,7 +574,9 @@ def runner_from_args(args):
     programmatic behaviour is unchanged unless opted in. Subcommands
     that declare supervision flags (``--job-timeout``, ``--max-retries``,
     ``--fail-fast``/``--degrade``: currently ``chaos`` and ``fleet``)
-    get a supervised runner; the rest keep the unsupervised fast path.
+    get a supervised runner; the rest get an unsupervised one, which
+    runs ``--jobs 1`` in-process and fans ``--jobs N`` out through a
+    one-attempt, fail-fast private supervisor.
     """
     no_cache = getattr(args, "no_cache", False)
     cache_dir = getattr(args, "cache_dir", None)

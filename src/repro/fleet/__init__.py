@@ -7,11 +7,13 @@ runner with per-shard checkpoint/resume (:mod:`~repro.fleet.shard`),
 aggregate with mergeable O(shards)-memory statistics
 (:mod:`~repro.fleet.stats`), and compare mitigations at population
 scale (:mod:`~repro.fleet.report`). Device-days execute on the event
-kernel, on the kernel-validated transition-table fast path
-(:mod:`~repro.fleet.fastpath`, ``mode="fast"``), or on the columnar
-vectorized engine composing whole shards at once over the same table
-(:mod:`~repro.fleet.vector`, ``mode="vector"``; ``mode="auto"`` picks
-the fastest applicable). CLI: ``python -m repro fleet``.
+kernel (``mode="kernel"``) or on the columnar vectorized engine
+(:mod:`~repro.fleet.vector`, ``mode="vector"``), which composes whole
+shards at once from a kernel-probed transition table
+(:mod:`~repro.fleet.fastpath`); ``mode="auto"`` picks vector for large
+populations. ``fastpath`` also keeps the per-device scalar composition
+the vector engine is checked against bit for bit. CLI: ``python -m
+repro fleet``.
 """
 
 from repro.fleet.fastpath import (
@@ -19,7 +21,6 @@ from repro.fleet.fastpath import (
     build_table,
     cross_validate,
     fast_summary,
-    replay_shard,
 )
 from repro.fleet.population import (
     DeviceColumns,
@@ -61,7 +62,6 @@ __all__ = [
     "cross_validate",
     "cross_validate_vector",
     "fast_summary",
-    "replay_shard",
     "replay_shard_vector",
     "compose_shard",
     "VECTOR_TOLERANCES",

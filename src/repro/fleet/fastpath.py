@@ -1,15 +1,22 @@
-"""Batched fast-path device-day simulator, validated against the kernel.
+"""The transition-table device-day model, validated against the kernel.
 
 The discrete-event kernel spends ~0.25 host-seconds per simulated
 device-day; at fleet scale (ROADMAP: "millions of device-days") that is
 the whole budget. This module replaces the event loop with a
 **transition/outcome table**: the kernel is run once per
 *device-equivalence class* -- a (device profile, mitigation, app)
-combination on a canonical representative day -- and whole shards of
-device-days are then replayed as table lookups plus deterministic,
-seed-derived perturbation. Three-plus orders of magnitude faster, and
-continuously cross-validated against the kernel it summarises
-(SimDC-style aggregated fast-pathing; see PAPERS.md).
+combination on a canonical representative day -- and device-days are
+then composed as table lookups plus deterministic, seed-derived
+perturbation. Three-plus orders of magnitude faster, and continuously
+cross-validated against the kernel it summarises (SimDC-style
+aggregated fast-pathing; see PAPERS.md).
+
+The fleet executes table-driven shards with the columnar engine
+(:mod:`repro.fleet.vector`, ``mode="vector"``). This module owns the
+table (probes, build, fingerprint), the per-device composition
+:func:`fast_summary`, the kernel cross-validation, and
+:func:`replay_shard`: the scalar per-device replay the vector engine
+is checked against bit for bit.
 
 How a device-day is composed from probes
 ----------------------------------------
@@ -138,7 +145,7 @@ def jitter_unit(sub_seed):
     z = z ^ (z >> 31)
     return (z >> 11) * (2.0 ** -53)
 
-#: ``mode="auto"`` picks the fast path at or above this population
+#: ``mode="auto"`` picks the vector engine at or above this population
 #: size; below it the table build cannot amortise over enough
 #: device-days to beat just running the kernel.
 AUTO_MIN_DEVICES = 512
@@ -835,8 +842,9 @@ class _BatchFold:
     Collects observations per metric across the whole shard, then
     flushes each metric through ``observe_many`` exactly once -- the
     same one-batch-per-metric-per-shard fold the vector engine
-    performs, so fast and vector shard stats stay bit-identical (see
-    the batch-fold contract in :mod:`repro.fleet.stats`).
+    performs, so :func:`replay_shard` and vector shard stats stay
+    bit-identical (see the batch-fold contract in
+    :mod:`repro.fleet.stats`).
     """
 
     def __init__(self):
@@ -857,15 +865,15 @@ class _BatchFold:
 
 
 def replay_shard(population, start, stop, table,
-                 max_crash_records=None, telemetry=None):
+                 max_crash_records=None):
     """Replay devices [start, stop) from the table, kernel-fallback
     per device; returns ``({mitigation: FleetStats}, crashes)``.
 
-    The same fold as the kernel path (:func:`repro.fleet.shard.
-    _fold_device` drives a batched sink), plus two fast-path counters
-    per mitigation: ``fastpath_devices`` and ``fastpath_fallbacks``.
-    No per-device record survives the loop. ``telemetry`` is the
-    shard's :class:`~repro.telemetry.emit.ShardTelemetry` (or None).
+    The scalar reference for :func:`repro.fleet.vector.
+    replay_shard_vector`: the same fold as the kernel path
+    (:func:`repro.fleet.shard._fold_device` drives a batched sink),
+    plus two table counters per mitigation: ``fastpath_devices`` and
+    ``fastpath_fallbacks``. No per-device record survives the loop.
     """
     from repro.apps.buggy import scenario_families
     from repro.fleet.shard import (
@@ -913,12 +921,6 @@ def replay_shard(population, start, stop, table,
                 fold.count("fastpath_fallbacks")
             for family in families:
                 fold.count("scenario:" + family)
-            if telemetry is not None:
-                telemetry.observe(summary)
-                if families:
-                    telemetry.observe_families(families)
-        if telemetry is not None:
-            telemetry.device_done()
     return {name: fold.flush() for name, fold in folds.items()}, crashes
 
 

@@ -3,9 +3,9 @@
 A shard is the unit of dispatch, caching and checkpointing. Each shard
 job is an ordinary :class:`~repro.experiments.grid.FuncSpec` calling
 :func:`run_shard` with scalars only, so shards fan out through the
-existing :class:`~repro.experiments.grid.GridRunner` process pool and
-memoise in its content-addressed result cache. Inside the worker every
-device-day is simulated, summarised, folded into the shard's
+existing :class:`~repro.experiments.grid.GridRunner` and memoise in its
+content-addressed result cache. Inside the worker every device-day is
+simulated, summarised, folded into the shard's
 :class:`~repro.fleet.stats.FleetStats`, and *discarded* -- a shard's
 return value is O(1) in the number of devices it simulated.
 
@@ -41,8 +41,9 @@ MAX_CRASH_RECORDS = 20
 
 #: Distinct device-crash reasons already logged; a 10k-device shard
 #: with one systematic bug logs one line, not 10k. Scoped per *run*:
-#: :class:`FleetRunner` clears it (and the fast path's fallback twin)
-#: at construction, so a second run in the same process warns again.
+#: :class:`FleetRunner` clears it (and the table executor's fallback
+#: twin) at construction, so a second run in the same process warns
+#: again.
 _LOGGED_CRASH_REASONS = set()
 
 
@@ -65,11 +66,11 @@ def build_device_phone(device, mitigation, extra_overrides=None):
     """Materialise a DeviceSpec as a live phone, apps installed.
 
     Returns ``(phone, buggy_uids, interactive_uids, injector)``. Shared
-    by the kernel path below and the fast path's table probes
+    by the kernel path below and the transition table's probes
     (:mod:`repro.fleet.fastpath`), so a probe day exercises the *exact*
     construction a real device-day does. ``extra_overrides`` are final
-    phone-kwargs overrides applied after every case's -- the fast path
-    uses them to probe one app under the *merged* environment of a
+    phone-kwargs overrides applied after every case's -- the probes
+    use them to probe one app under the *merged* environment of a
     multi-case device (a later case's triggering environment overrides
     an earlier one's, which changes whether the earlier bug fires).
     """
@@ -199,21 +200,18 @@ def run_shard(population_json, start, stop, mode="kernel",
     """Simulate devices [start, stop) under every mitigation.
 
     Module-level with scalar kwargs only, so it dispatches as a
-    :class:`FuncSpec` (process pool + content-addressed cache). Returns
-    the shard summary: per-mitigation ``FleetStats`` dicts plus
+    :class:`FuncSpec` (supervised workers + content-addressed cache).
+    Returns the shard summary: per-mitigation ``FleetStats`` dicts plus
     bookkeeping -- size O(1) in the device count.
 
-    ``mode="fast"`` replays the shard from the transition table in
-    ``table_json`` (:mod:`repro.fleet.fastpath`) instead of running the
-    event kernel, falling back to the kernel per device where the
-    table cannot be trusted; ``mode="vector"`` composes the whole
-    shard columnar over the same table
-    (:mod:`repro.fleet.vector`), same per-device fallback rules. The
-    extra kwargs also mean table-replayed shard results can never
-    collide with kernel ones in the grid's content-addressed cache
-    (and ``mode`` separates fast from vector): a kernel dispatch omits
-    them entirely, so its cache keys are byte-identical to what they
-    always were.
+    ``mode="vector"`` composes the whole shard columnar from the
+    transition table in ``table_json`` (:mod:`repro.fleet.vector` over
+    :mod:`repro.fleet.fastpath`'s probes) instead of running the event
+    kernel, falling back to the kernel per device where the table
+    cannot be trusted. The extra kwargs also mean table-composed shard
+    results can never collide with kernel ones in the grid's
+    content-addressed cache: a kernel dispatch omits them entirely, so
+    its cache keys are byte-identical to what they always were.
     """
     # Imported lazily: repro.telemetry imports repro.fleet.stats, so a
     # module-level import here would be circular.
@@ -228,18 +226,13 @@ def run_shard(population_json, start, stop, mode="kernel",
     try:
         if telem is not None:
             telem.started()
-        if mode in ("fast", "vector"):
-            from repro.fleet.fastpath import TransitionTable, replay_shard
+        if mode == "vector":
+            from repro.fleet.fastpath import TransitionTable
+            from repro.fleet.vector import replay_shard_vector
 
             table = TransitionTable.from_json(table_json)
-            if mode == "vector":
-                from repro.fleet.vector import replay_shard_vector
-
-                per_mitigation, crashes = replay_shard_vector(
-                    population, start, stop, table, telemetry=telem)
-            else:
-                per_mitigation, crashes = replay_shard(
-                    population, start, stop, table, telemetry=telem)
+            per_mitigation, crashes = replay_shard_vector(
+                population, start, stop, table, telemetry=telem)
             if telem is not None:
                 telem.finished()
             return {
@@ -308,28 +301,26 @@ class FleetRunner:
     """Drives a population's shards through a GridRunner with resume.
 
     ``checkpoint_dir`` defaults to a per-population directory under
-    ``results/.fleet/<fingerprint12>/`` (suffixed ``-fast`` on the fast
-    path, so the two execution modes never share checkpoint files), so
-    re-running the same spec resumes automatically and different specs
-    never collide. Checkpoint files from another population, package
+    ``results/.fleet/<fingerprint12>/`` (suffixed ``-vector`` for the
+    table executor, so the two execution modes never share checkpoint
+    files), so re-running the same spec resumes automatically and
+    different specs never collide. Checkpoint files from another population, package
     version, checkpoint schema, execution mode or transition table are
     ignored (and reported), never served.
 
     ``mode`` selects the device-day executor: ``"kernel"`` (the full
-    event loop), ``"fast"`` (transition-table replay,
-    :mod:`repro.fleet.fastpath`, with per-device kernel fallback),
-    ``"vector"`` (whole-shard columnar composition over the same
-    table, :mod:`repro.fleet.vector`, same fallback rules), or
-    ``"auto"`` (table-driven at or above
-    :data:`~repro.fleet.fastpath.AUTO_MIN_DEVICES` devices -- vector
-    when numpy is importable, fast otherwise -- kernel below: the
-    table build only amortises over enough device-days).
+    event loop), ``"vector"`` (whole-shard columnar composition over
+    the kernel-probed transition table, :mod:`repro.fleet.vector`, with
+    per-device kernel fallback; without numpy it composes per device
+    in pure Python, same numbers), or ``"auto"`` (vector at or above
+    :data:`~repro.fleet.fastpath.AUTO_MIN_DEVICES` devices, kernel
+    below: the table build only amortises over enough device-days).
     """
 
     def __init__(self, population, runner=None, checkpoint_dir=None,
                  verbose=False, mode="kernel", telemetry_dir=None,
                  service_journal=None):
-        if mode not in ("kernel", "fast", "vector", "auto"):
+        if mode not in ("kernel", "vector", "auto"):
             raise ValueError("unknown fleet mode {!r}".format(mode))
         # New run: re-arm the warn-once logs so this run's first
         # fallback/crash of each kind is reported again (satellite of
@@ -349,22 +340,18 @@ class FleetRunner:
         self.requested_mode = mode
         if mode == "auto":
             from repro.fleet.fastpath import AUTO_MIN_DEVICES
-            from repro.fleet.stats import _numpy
 
-            if population.devices < AUTO_MIN_DEVICES:
-                mode = "kernel"
-            else:
-                mode = "vector" if _numpy() is not None else "fast"
+            mode = "kernel" if population.devices < AUTO_MIN_DEVICES \
+                else "vector"
         self.mode = mode
         if checkpoint_dir is None:
-            suffix = {"fast": "-fast", "vector": "-vector"}.get(
-                self.mode, "")
+            suffix = "-vector" if self.mode == "vector" else ""
             checkpoint_dir = os.path.join(
                 DEFAULT_CHECKPOINT_ROOT,
                 population.fingerprint()[:12] + suffix)
         self.checkpoint_dir = checkpoint_dir
         self.verbose = verbose
-        #: Lazily built transition table (fast mode only): JSON payload
+        #: Lazily built transition table (vector mode only): JSON payload
         #: and fingerprint, shared by every shard dispatch this run.
         self._table_json = None
         self.table_fingerprint = None
@@ -422,7 +409,7 @@ class FleetRunner:
                 or (summary.get("start"), summary.get("stop"))
                 != (start, stop)
                 or summary.get("mode", "kernel") != self.mode
-                or (self.mode in ("fast", "vector")
+                or (self.mode == "vector"
                     and self.table_fingerprint is not None
                     and summary.get("table")
                     != self.table_fingerprint)):
@@ -462,7 +449,7 @@ class FleetRunner:
         return "shard:{:06d}".format(shard_index)
 
     def _ensure_table(self):
-        """The fast path's transition table JSON, built on first use.
+        """The transition table JSON, built on first use.
 
         Probes dispatch through the same grid runner as the shards, so
         a warm result cache makes this a pure load. Building *before*
@@ -482,19 +469,19 @@ class FleetRunner:
     def run_shards(self, limit=None):
         """Execute up to ``limit`` pending shards (all by default).
 
-        Shards are dispatched in index order through the grid runner and
-        each completed shard's summary is checkpointed *the moment it
-        completes* (the runner's ``on_result`` hook), so a kill loses at
-        most the in-flight shards (less with the grid cache warm). Under
-        a supervised runner the whole pending set is handed over in one
-        call -- the supervisor owns concurrency, deadlines and retries
-        -- and shards that end in quarantine simply come back without a
-        result: their checkpoints are never written (a timed-out shard
-        must not publish partial state) and their indices land in
-        ``quarantined_shards``. Returns the number of shards executed.
+        The whole pending set goes to the grid runner in one call, in
+        index order, and each completed shard's summary is checkpointed
+        *the moment it completes* (the runner's ``on_result`` hook), so
+        a kill loses at most the in-flight shards (less with the grid
+        cache warm). Under a supervised runner the supervisor owns
+        concurrency, deadlines and retries, and shards that end in
+        quarantine simply come back without a result: their checkpoints
+        are never written (a timed-out shard must not publish partial
+        state) and their indices land in ``quarantined_shards``.
+        Returns the number of shards executed.
         """
-        table_json = self._ensure_table() \
-            if self.mode in ("fast", "vector") else None
+        table_json = self._ensure_table() if self.mode == "vector" \
+            else None
         pending = self.pending_shards()
         resumed = self.population.shard_count - len(pending)
         self.shards_resumed += resumed
@@ -509,55 +496,45 @@ class FleetRunner:
                 self.population.fingerprint()[:12]
         if supervisor is not None:
             supervisor.telemetry = self.telemetry
+        specs, labels = [], []
+        for shard_index in pending:
+            start, stop = self.population.shard_range(shard_index)
+            if self.mode == "vector":
+                # The extra kwargs separate table-composed shard results
+                # from kernel ones in the grid cache; a kernel dispatch
+                # omits them so its cache keys never change.
+                specs.append(FuncSpec.make(
+                    run_shard, population_json=population_json,
+                    start=start, stop=stop, mode=self.mode,
+                    table_json=table_json))
+            else:
+                specs.append(FuncSpec.make(
+                    run_shard, population_json=population_json,
+                    start=start, stop=stop))
+            labels.append(self.shard_label(shard_index))
         executed = [0]
 
-        def dispatch(batch):
-            specs, labels = [], []
-            for shard_index in batch:
-                start, stop = self.population.shard_range(shard_index)
-                if self.mode in ("fast", "vector"):
-                    # The extra kwargs separate table-replayed shard
-                    # results from kernel ones (and fast from vector)
-                    # in the grid cache; a kernel dispatch omits them
-                    # so its cache keys never change.
-                    specs.append(FuncSpec.make(
-                        run_shard, population_json=population_json,
-                        start=start, stop=stop, mode=self.mode,
-                        table_json=table_json))
-                else:
-                    specs.append(FuncSpec.make(
-                        run_shard, population_json=population_json,
-                        start=start, stop=stop))
-                labels.append(self.shard_label(shard_index))
-
-            def checkpoint(index, spec, summary):
-                shard_index = batch[index]
-                self._write_checkpoint(shard_index, summary)
-                executed[0] += 1
-                if self.telemetry is not None:
-                    # Runner-side, so cache hits and supervised retries
-                    # are announced exactly once each.
-                    self.telemetry.shard_finished(shard_index, summary)
-                if self.verbose:
-                    print("fleet: shard {}/{} done".format(
-                        shard_index + 1, self.population.shard_count),
-                        file=sys.stderr)
-
-            summaries = self.runner.run(specs, labels=labels,
-                                        on_result=checkpoint)
-            for shard_index, summary in zip(batch, summaries):
-                if summary is None:
-                    self.quarantined_shards.append(shard_index)
+        def checkpoint(index, spec, summary):
+            shard_index = pending[index]
+            self._write_checkpoint(shard_index, summary)
+            executed[0] += 1
+            if self.telemetry is not None:
+                # Runner-side, so cache hits and supervised retries
+                # are announced exactly once each.
+                self.telemetry.shard_finished(shard_index, summary)
+            if self.verbose:
+                print("fleet: shard {}/{} done".format(
+                    shard_index + 1, self.population.shard_count),
+                    file=sys.stderr)
 
         saved_env = self._export_telemetry_env()
         try:
-            if supervisor is not None:
-                if pending:
-                    dispatch(pending)
-            else:
-                batch_size = max(self.runner.effective_jobs, 1)
-                for offset in range(0, len(pending), batch_size):
-                    dispatch(pending[offset:offset + batch_size])
+            if specs:
+                summaries = self.runner.run(specs, labels=labels,
+                                            on_result=checkpoint)
+                self.quarantined_shards.extend(
+                    shard_index for shard_index, summary
+                    in zip(pending, summaries) if summary is None)
         finally:
             self._restore_telemetry_env(saved_env)
             # An interrupt mid-dispatch keeps every checkpoint already
@@ -580,7 +557,7 @@ class FleetRunner:
 
     def _export_telemetry_env(self):
         """Export the stream location for shard workers (forked per
-        batch/attempt, so they inherit it); returns the saved values.
+        attempt, so they inherit it); returns the saved values.
 
         Environment, not kwargs: a telemetry kwarg on ``run_shard``
         would change every shard's content-addressed cache key."""
@@ -646,7 +623,7 @@ class FleetRunner:
             "checkpoints_rejected": self.checkpoints_rejected,
             "shards_quarantined": self.shards_quarantined,
         }
-        if self.mode in ("fast", "vector"):
+        if self.mode == "vector":
             summary["table_fingerprint"] = self.table_fingerprint or ""
         return summary
 

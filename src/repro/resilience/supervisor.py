@@ -269,11 +269,9 @@ class Supervisor:
         results = {}
         with sigterm_as_interrupt():
             try:
-                if self._use_processes(workers):
-                    self._run_processes(jobs, max(1, int(workers)),
-                                        results, on_result)
-                else:
-                    self._run_serial(jobs, results, on_result)
+                self._dispatch(jobs, max(1, int(workers)),
+                               self._use_processes(workers), results,
+                               on_result)
             except KeyboardInterrupt:
                 raise RunInterrupted(len(results),
                                      len(jobs) - len(results)) from None
@@ -334,57 +332,73 @@ class Supervisor:
                   file=sys.stderr)
         self._serial_reason = reason
 
-    # -- process mode ------------------------------------------------------
+    # -- the dispatch loop -------------------------------------------------
 
-    def _run_processes(self, jobs, workers, results, on_result):
-        from multiprocessing.connection import wait as _wait
+    def _dispatch(self, jobs, workers, processes, results, on_result):
+        """The one scheduling loop, for forked and in-process attempts.
 
+        Owns the pending queue, the backoff parking lot, the deadline
+        poll and interrupt accounting. Its launch step either forks an
+        attempt (``processes``) or runs it in-process to completion; an
+        in-process attempt never occupies ``active``, so serial dispatch
+        drains the queue before it revisits the parking lot.
+        """
         pending = deque(jobs)
         waiting = []  # (eligible_at, job) backoff parking lot
-        active = {}  # conn -> _Attempt
+        active = {}  # conn -> _Attempt (forked attempts only)
         try:
             while pending or waiting or active:
-                now = time.monotonic()
                 if waiting:
-                    still = []
-                    for eligible_at, job in waiting:
-                        if eligible_at <= now:
-                            pending.append(job)
-                        else:
-                            still.append((eligible_at, job))
-                    waiting = still
+                    now = time.monotonic()
+                    pending.extend(job for eligible_at, job in waiting
+                                   if eligible_at <= now)
+                    waiting = [(eligible_at, job)
+                               for eligible_at, job in waiting
+                               if eligible_at > now]
                 while pending and len(active) < workers:
-                    attempt = self._launch(pending.popleft())
-                    active[attempt.conn] = attempt
-                if not active:
-                    if waiting:
-                        self._sleep(max(0.0, min(e for e, __ in waiting)
-                                        - time.monotonic()))
-                    continue
-                timeout = _MAX_WAIT_S
-                deadlines = [a.deadline for a in active.values()
-                             if a.deadline is not None]
-                if deadlines:
-                    timeout = min(timeout, max(0.0, min(deadlines)
-                                               - time.monotonic()))
-                for conn in _wait(list(active), timeout=timeout):
-                    self._finish(active.pop(conn), pending, waiting,
-                                 results, on_result)
-                now = time.monotonic()
-                for conn, attempt in list(active.items()):
-                    if attempt.deadline is not None \
-                            and now >= attempt.deadline:
-                        del active[conn]
-                        self._expire(attempt, pending, waiting)
+                    job = pending.popleft()
+                    job.attempt += 1
+                    self.stats.attempts += 1
+                    if processes:
+                        attempt = self._launch(job)
+                        active[attempt.conn] = attempt
+                    else:
+                        self._run_inline(job, pending, waiting, results,
+                                         on_result)
+                if active:
+                    self._poll(active, pending, waiting, results,
+                               on_result)
+                elif waiting:
+                    self._sleep(max(0.0, min(e for e, __ in waiting)
+                                    - time.monotonic()))
         except BaseException:
             self._reap(active)
             if pending or waiting or active:
                 self._note_interrupt(results, jobs)
             raise
 
+    def _poll(self, active, pending, waiting, results, on_result):
+        """Wait on live workers: finish the ready, expire the overdue."""
+        from multiprocessing.connection import wait as _wait
+
+        timeout = _MAX_WAIT_S
+        deadlines = [a.deadline for a in active.values()
+                     if a.deadline is not None]
+        if deadlines:
+            timeout = min(timeout, max(0.0, min(deadlines)
+                                       - time.monotonic()))
+        for conn in _wait(list(active), timeout=timeout):
+            self._finish(active.pop(conn), pending, waiting, results,
+                         on_result)
+        now = time.monotonic()
+        for conn, attempt in list(active.items()):
+            if attempt.deadline is not None and now >= attempt.deadline:
+                del active[conn]
+                self._expire(attempt, pending, waiting)
+
+    # -- forked attempts ---------------------------------------------------
+
     def _launch(self, job):
-        job.attempt += 1
-        self.stats.attempts += 1
         context = self._mp_context
         parent, child = context.Pipe(duplex=False)
         budget_limits = self.sim_budget.limits() \
@@ -461,39 +475,16 @@ class Supervisor:
                 error="run interrupted while attempt was live",
                 elapsed_s=round(time.monotonic() - attempt.started, 3)))
 
-    # -- serial mode -------------------------------------------------------
+    # -- in-process attempts -----------------------------------------------
 
-    def _run_serial(self, jobs, results, on_result):
-        pending = deque(jobs)
-        waiting = []
-        try:
-            while pending or waiting:
-                if not pending:
-                    eligible = min(e for e, __ in waiting)
-                    self._sleep(max(0.0, eligible - time.monotonic()))
-                    now = time.monotonic()
-                    still = []
-                    for eligible_at, job in waiting:
-                        if eligible_at <= now:
-                            pending.append(job)
-                        else:
-                            still.append((eligible_at, job))
-                    waiting = still
-                    continue
-                job = pending.popleft()
-                job.attempt += 1
-                self.stats.attempts += 1
-                started = time.monotonic()
-                outcome = self._attempt_serial(job)
-                elapsed = time.monotonic() - started
-                if isinstance(outcome, _Failure):
-                    self._fail(job, outcome, elapsed, pending, waiting)
-                else:
-                    self._succeed(job, outcome[0], results, on_result)
-        except BaseException:
-            if pending or waiting:
-                self._note_interrupt(results, jobs)
-            raise
+    def _run_inline(self, job, pending, waiting, results, on_result):
+        started = time.monotonic()
+        outcome = self._attempt_serial(job)
+        elapsed = time.monotonic() - started
+        if isinstance(outcome, _Failure):
+            self._fail(job, outcome, elapsed, pending, waiting)
+        else:
+            self._succeed(job, outcome[0], results, on_result)
 
     def _attempt_serial(self, job):
         """One in-process attempt; a ``_Failure`` or ``(result,)``."""

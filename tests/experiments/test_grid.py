@@ -82,16 +82,20 @@ def test_codec_round_trips_rich_results():
 
 # -- parallel determinism (satellite acceptance) -----------------------------
 
-def test_parallel_table5_matches_serial_byte_identical():
+def test_parallel_table5_matches_serial_byte_identical(monkeypatch):
+    import os
+
     cases = subset_cases()
     serial = table5.render(table5.run(cases=cases, minutes=2.0))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # defeat 1-core clamp
     runner = GridRunner(jobs=2)
     parallel = table5.render(
         table5.run(cases=cases, minutes=2.0, runner=runner))
     assert parallel == serial
     assert runner.stats.executed == len(cases) * len(table5.MITIGATIONS)
-    # Only one of pool/serial paths ran; either way the output matched.
-    assert runner.stats.pool_batches + runner.stats.serial_batches == 1
+    # The batch really fanned out: one supervised dispatch, no serial.
+    assert runner.stats.supervised_batches == 1
+    assert runner.stats.serial_batches == 0
 
 
 def test_warm_cache_runs_zero_fresh_simulations(tmp_path):
@@ -174,20 +178,54 @@ def _const(value):
     return value
 
 
-def test_pool_failure_falls_back_to_serial(monkeypatch):
+def _boom():
+    raise ValueError("bad spec")
+
+
+def test_no_worker_processes_falls_back_to_in_process(monkeypatch):
+    import multiprocessing
     import os
 
-    def broken(self, specs, workers, on_complete):
-        raise OSError("no process pool in this sandbox")
+    def no_processes(*args, **kwargs):
+        raise OSError("no worker processes in this sandbox")
 
-    monkeypatch.setattr(GridRunner, "_execute_pool", broken)
+    monkeypatch.setattr(multiprocessing, "get_context", no_processes)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)  # defeat 1-core clamp
     runner = GridRunner(jobs=4)
     specs = [FuncSpec.make(_const, value=v) for v in (1, 2, 3)]
     assert runner.run(specs) == [1, 2, 3]
-    assert runner.stats.pool_fallbacks == 1
+    assert runner._fanout.stats.serial_fallbacks == 1
     assert runner.stats.executed == 3
-    assert runner.stats.serial_batches == 1
+    assert runner.stats.supervised_batches == 1
+
+
+def test_unsupervised_parallel_job_error_fails_the_run(monkeypatch):
+    import os
+
+    from repro.resilience.errors import JobQuarantined
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # defeat 1-core clamp
+    runner = GridRunner(jobs=2)
+    specs = [FuncSpec.make(_const, value=1), FuncSpec.make(_boom)]
+    with pytest.raises(JobQuarantined) as info:
+        runner.run(specs)
+    assert info.value.attempts == 1
+    assert info.value.last_error.startswith("ValueError: bad spec")
+    assert runner._fanout.stats.retries == 0
+
+
+def test_unsupervised_runner_ignores_harness_fault_env(monkeypatch):
+    import os
+
+    from repro.resilience.hooks import ENV_VAR
+
+    monkeypatch.setenv(ENV_VAR, '{"crash": {"*": []}, "fail": {"*": []}}')
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # defeat 1-core clamp
+    runner = GridRunner(jobs=2)
+    specs = [FuncSpec.make(_const, value=v) for v in (1, 2, 3)]
+    assert runner.run(specs) == [1, 2, 3]
+    assert runner._fanout.stats.attempts == 3
+    assert runner._fanout.stats.crashes == 0
 
 
 def test_duplicate_specs_execute_once():

@@ -6,6 +6,8 @@ import os
 
 from contextlib import redirect_stdout
 
+import pytest
+
 from repro.cli import main
 
 
@@ -76,28 +78,40 @@ def test_chaos_replay_exit_zero_on_clean_match(tmp_path):
     assert "matches the original run" in text
 
 
-def test_fleet_cli_fast_path_end_to_end(tmp_path):
-    code, text = _run_cli(_fleet_argv(tmp_path, ["--fast-path"]))
-    assert code == 0
-    assert "Fleet comparison: 4 devices" in text
-    assert "execution: fast path" in text
-    report = json.loads((tmp_path / "fleet.json").read_text())
-    execution = report["execution"]
-    assert execution["mode"] == "fast"
-    assert execution["requested_mode"] == "fast"
+def test_fleet_cli_fast_path_end_to_end(tmp_path, monkeypatch):
+    # The table path on its scalar backend (numpy disabled) writes the
+    # same report bytes as on the numpy backend.
+    reports = {}
+    for backend in ("pure", "numpy"):
+        if backend == "pure":
+            monkeypatch.setenv("REPRO_FASTPATH_NUMPY", "0")
+        else:
+            monkeypatch.delenv("REPRO_FASTPATH_NUMPY", raising=False)
+        run_dir = tmp_path / backend
+        code, text = _run_cli(_fleet_argv(run_dir, ["--mode", "vector"]))
+        assert code == 0
+        assert "Fleet comparison: 4 devices" in text
+        assert "execution: columnar vector path" in text
+        reports[backend] = (run_dir / "fleet.json").read_bytes()
+    execution = json.loads(reports["pure"])["execution"]
+    assert execution["mode"] == "vector"
+    assert execution["requested_mode"] == "vector"
     assert len(execution["table_fingerprint"]) == 64
+    assert reports["pure"] == reports["numpy"]
 
 
 def test_fleet_cli_cross_validation_block_and_exit_code(tmp_path):
     code, text = _run_cli(_fleet_argv(
-        tmp_path, ["--fast-path", "--cross-validate", "2"]))
+        tmp_path, ["--mode", "vector", "--cross-validate", "2"]))
     report = json.loads((tmp_path / "fleet.json").read_text())
     validation = report["execution"]["cross_validation"]
     assert validation["kind"] == "fastpath_cross_validation"
     assert validation["n"] == 2
     assert "tolerances" in validation and "metrics" in validation
-    # The exit code gates on the verdict, so CI can trust a green run.
-    assert code == (0 if validation["pass"] else 1)
+    vector_validation = report["execution"]["vector_cross_validation"]
+    # The exit code gates on both verdicts, so CI can trust a green run.
+    assert code == (0 if validation["pass"]
+                    and vector_validation["pass"] else 1)
     assert "cross-validation" in text
 
 
@@ -112,8 +126,16 @@ def test_fleet_parser_defaults():
     assert args.minutes == 15.0
     assert args.mode == "kernel"
     assert args.cross_validate == 0
-    fast = build_parser().parse_args(["fleet", "--fast-path"])
-    assert fast.mode == "fast"
+
+
+def test_fleet_parser_rejects_the_retired_fast_mode(capsys):
+    from repro.cli import build_parser
+
+    for argv in (["fleet", "--mode", "fast"], ["fleet", "--fast-path"]):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+    capsys.readouterr()
 
 
 def test_fleet_excluded_from_all():

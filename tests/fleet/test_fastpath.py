@@ -1,4 +1,8 @@
-"""Fast-path transition table: build, replay, fallback, mode wiring."""
+"""Transition table: build, scalar replay, fallback, mode wiring.
+
+The table path runs on the vector engine; the mode-wiring tests below
+check it on both of its backends (numpy and pure Python).
+"""
 
 import json
 
@@ -45,15 +49,37 @@ def table(grid):
     return build_table(POP, runner=grid)
 
 
+#: The vector engine's two backends: numpy, and the pure-Python
+#: composition that ``REPRO_FASTPATH_NUMPY=0`` forces.
+BACKENDS = ("numpy", "pure")
+
+
+def _use_backend(monkeypatch, backend):
+    if backend == "pure":
+        monkeypatch.setenv("REPRO_FASTPATH_NUMPY", "0")
+    else:
+        monkeypatch.delenv("REPRO_FASTPATH_NUMPY", raising=False)
+
+
 @pytest.fixture(scope="module")
-def fast_full(grid, tmp_path_factory):
-    """One uninterrupted fast-mode run: (runner, merged, report bytes)."""
-    ck = str(tmp_path_factory.mktemp("fleet-fast"))
-    runner = FleetRunner(POP, runner=grid, mode="fast",
-                         checkpoint_dir=ck)
-    merged = runner.run()
-    payload = report_json(build_report(POP, merged))
-    return runner, merged, payload
+def vector_full(tmp_path_factory):
+    """One uninterrupted vector-mode run per backend: ``{backend:
+    (runner, merged, report bytes)}``. Each backend gets its own cached
+    grid runner: vector shard cache keys do not name the backend, so a
+    shared cache would serve the numpy-built shards to the pure run."""
+    runs = {}
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _use_backend(monkeypatch, backend)
+            grid = GridRunner(jobs=1, cache=str(
+                tmp_path_factory.mktemp("grid-cache-" + backend)))
+            ck = str(tmp_path_factory.mktemp("fleet-vector-" + backend))
+            runner = FleetRunner(POP, runner=grid, mode="vector",
+                                 checkpoint_dir=ck)
+            merged = runner.run()
+            runs[backend] = (runner, merged,
+                             report_json(build_report(POP, merged)))
+    return runs
 
 
 # -- the table -----------------------------------------------------------------
@@ -147,7 +173,7 @@ def test_fallback_devices_fold_kernel_values(monkeypatch):
     # reroute all of them to the kernel: the *observations* folded are
     # the kernel's own summaries -- digest entries, histogram bins,
     # counters and count/min/max match the kernel shard exactly. The
-    # fold algebra differs by design: fast shards use the batch-merge
+    # fold algebra differs by design: table shards use the batch-merge
     # fold (the frozen vector-engine contract, one batch per metric
     # per shard) instead of the kernel's sequential Welford, so
     # mean/m2 agree to float rounding, not bit-for-bit. Modes never
@@ -192,48 +218,59 @@ def test_fallback_warns_once_per_reason_structured(monkeypatch, capsys):
 
 # -- mode wiring ---------------------------------------------------------------
 
-def test_fast_run_counts_devices_and_reports_table(fast_full):
-    runner, merged, __ = fast_full
-    for name in POP.mitigations:
-        counters = merged[name].counters
-        assert counters["devices"] == POP.devices
-        assert counters["fastpath_devices"] == POP.devices
-        assert counters.get("fastpath_fallbacks", 0) == 0
-    summary = runner.run_summary()
-    assert summary["mode"] == "fast"
-    assert summary["table_fingerprint"] == runner.table_fingerprint
-    assert len(runner.table_fingerprint) == 64
+def test_fast_run_counts_devices_and_reports_table(vector_full):
+    for backend in BACKENDS:
+        runner, merged, __ = vector_full[backend]
+        assert runner.runner.stats.executed > 0  # shards really ran
+        for name in POP.mitigations:
+            counters = merged[name].counters
+            assert counters["devices"] == POP.devices
+            assert counters["fastpath_devices"] == POP.devices
+            assert counters["vector_devices"] == POP.devices
+            assert counters.get("fastpath_fallbacks", 0) == 0
+        summary = runner.run_summary()
+        assert summary["mode"] == "vector"
+        assert summary["table_fingerprint"] == runner.table_fingerprint
+        assert len(runner.table_fingerprint) == 64
+    assert vector_full["pure"][2] == vector_full["numpy"][2]
 
 
-def test_fast_run_resumes_byte_identical(fast_full, grid, tmp_path):
-    __, __, uninterrupted = fast_full
-    ck = str(tmp_path / "fleet-fast-resume")
-    first = FleetRunner(POP, runner=grid, mode="fast",
-                        checkpoint_dir=ck)
-    assert first.run(limit=1) is None
-    second = FleetRunner(POP, runner=grid, mode="fast",
-                         checkpoint_dir=ck)
-    merged = second.run()
-    assert second.shards_resumed == 1
-    assert report_json(build_report(POP, merged)) == uninterrupted
+def test_fast_run_resumes_byte_identical(vector_full, tmp_path,
+                                         monkeypatch):
+    for backend in BACKENDS:
+        _use_backend(monkeypatch, backend)
+        full_runner, __, uninterrupted = vector_full[backend]
+        grid = full_runner.runner
+        ck = str(tmp_path / ("resume-" + backend))
+        first = FleetRunner(POP, runner=grid, mode="vector",
+                            checkpoint_dir=ck)
+        assert first.run(limit=1) is None
+        second = FleetRunner(POP, runner=grid, mode="vector",
+                             checkpoint_dir=ck)
+        merged = second.run()
+        assert second.shards_resumed == 1
+        assert report_json(build_report(POP, merged)) == uninterrupted
 
 
-def test_mode_mismatched_checkpoints_rejected(fast_full, grid,
-                                              tmp_path):
-    fast_runner, __, __ = fast_full
-    # A fast-mode runner must not serve kernel checkpoints...
-    ck = str(tmp_path / "fleet-kernel")
-    kernel_runner = FleetRunner(POP, runner=grid, checkpoint_dir=ck)
-    kernel_runner.run_shards(limit=1)
-    probe = FleetRunner(POP, runner=grid, mode="fast",
-                        checkpoint_dir=ck)
-    assert probe.pending_shards() == list(range(POP.shard_count))
-    assert 0 in probe.rejected_shards
-    # ... and a kernel runner must not serve fast ones.
-    probe = FleetRunner(POP, runner=grid,
-                        checkpoint_dir=fast_runner.checkpoint_dir)
-    assert probe.pending_shards() == list(range(POP.shard_count))
-    assert probe.checkpoints_rejected == POP.shard_count
+def test_mode_mismatched_checkpoints_rejected(vector_full, tmp_path,
+                                              monkeypatch):
+    for backend in BACKENDS:
+        _use_backend(monkeypatch, backend)
+        vector_runner, __, __ = vector_full[backend]
+        grid = vector_runner.runner
+        # A vector-mode runner must not serve kernel checkpoints...
+        ck = str(tmp_path / ("kernel-" + backend))
+        kernel_runner = FleetRunner(POP, runner=grid, checkpoint_dir=ck)
+        kernel_runner.run_shards(limit=1)
+        probe = FleetRunner(POP, runner=grid, mode="vector",
+                            checkpoint_dir=ck)
+        assert probe.pending_shards() == list(range(POP.shard_count))
+        assert 0 in probe.rejected_shards
+        # ... and a kernel runner must not serve vector ones.
+        probe = FleetRunner(POP, runner=grid,
+                            checkpoint_dir=vector_runner.checkpoint_dir)
+        assert probe.pending_shards() == list(range(POP.shard_count))
+        assert probe.checkpoints_rejected == POP.shard_count
 
 
 def test_fast_and_kernel_shards_never_share_cache_keys(table):
@@ -241,43 +278,47 @@ def test_fast_and_kernel_shards_never_share_cache_keys(table):
     kernel_spec = FuncSpec.make(run_shard,
                                 population_json=population_json,
                                 start=0, stop=2)
-    fast_spec = FuncSpec.make(run_shard,
-                              population_json=population_json,
-                              start=0, stop=2, mode="fast",
-                              table_json=table.to_json())
-    # The kernel dispatch omits the fast kwargs entirely, so its cache
-    # keys are byte-identical to what they were before the fast path
-    # existed.
+    vector_spec = FuncSpec.make(run_shard,
+                                population_json=population_json,
+                                start=0, stop=2, mode="vector",
+                                table_json=table.to_json())
+    # The kernel dispatch omits the table kwargs entirely, so its cache
+    # keys are byte-identical to what they were before the table
+    # executor existed.
     assert dict(kernel_spec.kwargs).keys() == \
         {"population_json", "start", "stop"}
     cache = ResultCache(directory="unused-for-key-derivation", salt="")
-    assert cache.key_for(kernel_spec) != cache.key_for(fast_spec)
-    # A different table means different fast keys too.
+    assert cache.key_for(kernel_spec) != cache.key_for(vector_spec)
+    # A different table means different vector keys too.
     other = TransitionTable.from_json(table.to_json())
     key = sorted(other.entries)[0]
     other.entries[key] = dict(other.entries[key], system_power_mw=1.0)
     other_spec = FuncSpec.make(run_shard,
                                population_json=population_json,
-                               start=0, stop=2, mode="fast",
+                               start=0, stop=2, mode="vector",
                                table_json=other.to_json())
-    assert cache.key_for(fast_spec) != cache.key_for(other_spec)
+    assert cache.key_for(vector_spec) != cache.key_for(other_spec)
 
 
-def test_auto_mode_resolves_on_population_size():
+def test_auto_mode_resolves_on_population_size(monkeypatch):
     small = FleetRunner(POP, mode="auto")
     assert (small.requested_mode, small.mode) == ("auto", "kernel")
     big_pop = PopulationSpec(seed=1, devices=AUTO_MIN_DEVICES,
                              shard_size=128)
-    big = FleetRunner(big_pop, mode="auto")
-    # Auto resolves to the columnar engine when numpy is importable
-    # and degrades to the scalar fast path otherwise.
-    from repro.fleet.stats import _numpy
-
-    expected = "vector" if _numpy() is not None else "fast"
-    assert (big.requested_mode, big.mode) == ("auto", expected)
-    assert big.checkpoint_dir.endswith("-" + expected)
+    # Auto resolves to the columnar engine whether or not numpy is
+    # usable: without it the engine composes in pure Python.
+    for backend in BACKENDS:
+        _use_backend(monkeypatch, backend)
+        big = FleetRunner(big_pop, mode="auto")
+        assert (big.requested_mode, big.mode) == ("auto", "vector")
+        assert big.checkpoint_dir.endswith("-vector")
     with pytest.raises(ValueError):
         FleetRunner(POP, mode="warp")
+
+
+def test_fast_mode_is_rejected():
+    with pytest.raises(ValueError):
+        FleetRunner(POP, mode="fast")
 
 
 # -- cross-validation ----------------------------------------------------------

@@ -1,18 +1,21 @@
-"""Scenario devices across the three shard executors.
+"""Scenario devices across the shard executors and the scalar oracle.
 
-Scenario cases always run on the event kernel -- the fast/vector
-engines' transition-table composition was never validated against
-generated families -- so the contract under test is: (a) both
-accelerated engines route scenario devices to the kernel fallback, (b)
-all three executors produce identical metric stats and identical
-``scenario:<family>`` counters, and (c) telemetry snapshots carry the
-family histogram exactly when scenarios are present.
+Scenario cases always run on the event kernel -- the transition-table
+composition was never validated against generated families -- so the
+contract under test is: (a) the vector engine and its scalar oracle
+(``fastpath.replay_shard``) route scenario devices to the kernel
+fallback, (b) kernel, vector and oracle produce identical
+``scenario:<family>`` counters and vector matches the oracle's metric
+stats, and (c) telemetry snapshots carry the family histogram exactly
+when scenarios are present.
 """
 
 from repro.fleet.fastpath import (
+    TransitionTable,
     _scenario_guard,
     build_table,
     needed_probes,
+    replay_shard,
     reset_fallback_warnings,
 )
 from repro.fleet.population import PopulationSpec
@@ -67,20 +70,22 @@ def test_executors_agree_on_scenario_devices():
     table_json = build_table(population).to_json()
     reset_fallback_warnings()
     kernel = run_shard(population.to_json(), 0, 8)
-    fast = run_shard(population.to_json(), 0, 8, mode="fast",
-                     table_json=table_json)
+    oracle, oracle_crashes = replay_shard(
+        population, 0, 8, TransitionTable.from_json(table_json))
     vector = run_shard(population.to_json(), 0, 8, mode="vector",
                        table_json=table_json)
+    assert vector["crashes"] == oracle_crashes
     for mitigation in population.mitigations:
-        k, f, v = (run["stats"][mitigation]
-                   for run in (kernel, fast, vector))
-        # The family counters are exact on every executor (scenario
-        # days always run on the kernel, whatever the mode).
+        k, v = (run["stats"][mitigation] for run in (kernel, vector))
+        f = oracle[mitigation].to_dict()
+        # The family counters are exact on every executor and the
+        # oracle (scenario days always run on the kernel, whatever the
+        # mode).
         assert _scenario_counters(k) == _scenario_counters(f) \
             == _scenario_counters(v)
         assert sum(_scenario_counters(k).values()) == n_family_days
-        # Vector is bit-identical to the scalar fast path -- metrics
-        # and counters -- apart from its own vector_devices counter.
+        # Vector is bit-identical to the scalar oracle -- metrics and
+        # counters -- apart from its own vector_devices counter.
         assert v["metrics"] == f["metrics"]
         assert {name: count for name, count in v["counters"].items()
                 if name != "vector_devices"} == f["counters"]
