@@ -22,6 +22,8 @@ import argparse
 import os
 import sys
 
+from repro.persist import atomic_write
+
 #: Exit codes beyond 0/1: a supervised run that completed with
 #: quarantined jobs (partial results + failure manifest) exits 75
 #: (BSD's EX_TEMPFAIL: retrying may succeed), an interrupted run exits
@@ -451,8 +453,7 @@ def _cmd_scenarios(args):
         os.makedirs("results", exist_ok=True)
         path = os.path.join("results", "scenarios_{}.json".format(
             catalog.fingerprint()[:12]))
-    with open(path, "w") as handle:
-        handle.write(payload + "\n")
+    atomic_write(path, payload + "\n")
     print("[scenario report JSON: {} (sha256 {})]".format(
         path, hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]),
         file=sys.stderr)
@@ -941,8 +942,7 @@ def main(argv=None):
             if args.out:
                 os.makedirs(args.out, exist_ok=True)
                 path = os.path.join(args.out, filename)
-                with open(path, "w") as handle:
-                    handle.write(text + "\n")
+                atomic_write(path, text + "\n")
                 print("[written to {}]".format(path), file=sys.stderr)
     except (KeyboardInterrupt, RunInterrupted) as exc:
         # Ctrl-C / SIGTERM: completed work is already durable (the

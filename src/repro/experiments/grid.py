@@ -29,13 +29,12 @@ uncached, in-process execution and returns full ``CaseRun`` objects.
 
 import hashlib
 import importlib
-import json
 import os
-import tempfile
 
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 
+from repro.persist import atomic_write, canonical_json, seal, unseal
 from repro.version import __version__ as PACKAGE_VERSION
 
 #: Bump when simulation semantics change in a way that invalidates cached
@@ -321,11 +320,9 @@ class ResultCache:
         self.salt = salt
 
     def key_for(self, spec):
-        token = json.dumps(
+        token = canonical_json(
             {"v": CODE_VERSION, "pkg": PACKAGE_VERSION, "salt": self.salt,
-             "spec": spec.cache_token()},
-            sort_keys=True, separators=(",", ":"),
-        )
+             "spec": spec.cache_token()})
         return hashlib.sha256(token.encode("utf-8")).hexdigest()[:32]
 
     def _path(self, key):
@@ -334,53 +331,35 @@ class ResultCache:
     def load(self, spec):
         """The decoded cached result, or None on miss/corruption.
 
-        A miss (no file) is silent; a *corrupt or undecodable* file is
-        discarded on the spot so the entry is rebuilt cleanly instead of
-        being re-parsed (and re-failed) on every subsequent lookup.
+        A miss (no file) is silent; a *corrupt, unsealed or undecodable*
+        file is discarded on the spot so the entry is rebuilt cleanly
+        instead of being re-parsed (and re-failed) on every lookup.
         """
         path = self._path(self.key_for(spec))
         try:
             with open(path) as handle:
-                payload = json.load(handle)
+                text = handle.read()
+            return decode_result(unseal(text, "result")["result"])
         except OSError:
             return None
-        except ValueError:
-            self._discard(path)
-            return None
-        try:
-            return decode_result(payload["result"])
         except (ValueError, KeyError, AttributeError, ImportError,
                 TypeError):
-            self._discard(path)
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
             return None
-
-    @staticmethod
-    def _discard(path):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
 
     def store(self, spec, result):
         try:
-            payload = {"spec": spec.cache_token(),
-                       "result": encode_result(result)}
+            text = seal({"spec": spec.cache_token(),
+                         "result": encode_result(result)}, "result")
         except TypeError:
             return False  # result not cache-serialisable; run uncached
         os.makedirs(self.directory, exist_ok=True)
-        path = self._path(self.key_for(spec))
-        # Atomic publish so concurrent runners never read a torn file.
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, suffix=".tmp", delete=False)
-        try:
-            with handle:
-                json.dump(payload, handle)
-            os.replace(handle.name, path)
+        try:  # atomic: concurrent runners never read a torn entry
+            atomic_write(self._path(self.key_for(spec)), text)
         except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
             return False
         return True
 

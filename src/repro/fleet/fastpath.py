@@ -95,6 +95,7 @@ import sys
 
 from repro.fleet.population import DeviceSpec, PopulationSpec
 from repro.fleet.stats import FleetStats
+from repro.persist import canonical_json
 
 #: Bump when the canonical day, the probe set, or the composition model
 #: changes: it salts every probe's cache key and the table fingerprint,
@@ -263,8 +264,7 @@ def _case_env(buggy_apps):
         env = {}
         for key in buggy_apps:
             env.update(resolve_case(key).phone_kwargs)
-        cached = (env, json.dumps(env, sort_keys=True,
-                                  separators=(",", ":")))
+        cached = (env, canonical_json(env))
         _ENV_CACHE[buggy_apps] = cached
     return cached
 
@@ -400,10 +400,9 @@ class TransitionTable:
                            env_json))
 
     def to_json(self):
-        return json.dumps(
+        return canonical_json(
             {"schema": PROBE_SCHEMA, "minutes": self.minutes,
-             "entries": self.entries},
-            sort_keys=True, separators=(",", ":"))
+             "entries": self.entries})
 
     @classmethod
     def from_json(cls, text):

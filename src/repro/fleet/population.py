@@ -28,6 +28,8 @@ import random
 
 from dataclasses import asdict, dataclass
 
+from repro.persist import canonical_json
+
 #: Normal-app archetypes a device can sample, name -> factory path
 #: semantics. Factories resolve lazily so importing this module stays
 #: cheap and specs never capture live objects.
@@ -230,16 +232,11 @@ class PopulationSpec:
         that predate scenario support.
         """
         data = asdict(self)
-        for name in ("mitigations", "profiles", "buggy_pool"):
-            data[name] = list(data[name])
-        if self.catalog_json:
-            data["family_weights"] = [
-                list(pair) for pair in self.family_weights]
-        else:
+        if not self.catalog_json:
             del data["catalog_json"]
             del data["scenario_prevalence"]
             del data["family_weights"]
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return canonical_json(data)
 
     @classmethod
     def from_json(cls, text):

@@ -11,19 +11,19 @@ return value is O(1) in the number of devices it simulated.
 
 :class:`FleetRunner` drives the shards in index order, writes one
 checkpoint file per completed shard (tagged with the population
-fingerprint and package version), and on a re-run skips every shard
-whose checkpoint is already on disk -- so a killed fleet run resumes
-where it stopped and still produces a byte-identical report.
+fingerprint and package version, and sealed with a crc by
+:mod:`repro.persist`), and on a re-run skips every shard whose valid
+checkpoint is already on disk -- so a killed fleet run resumes where
+it stopped and still produces a byte-identical report.
 """
 
-import json
 import os
 import sys
-import tempfile
 
 from repro.experiments.grid import FuncSpec, GridRunner
 from repro.fleet.population import PopulationSpec, normal_app_factory
 from repro.fleet.stats import FleetStats
+from repro.persist import atomic_write, seal, unseal
 from repro.version import __version__
 
 #: Checkpoint schema version; bump on incompatible checkpoint changes.
@@ -304,9 +304,10 @@ class FleetRunner:
     ``results/.fleet/<fingerprint12>/`` (suffixed ``-vector`` for the
     table executor, so the two execution modes never share checkpoint
     files), so re-running the same spec resumes automatically and
-    different specs never collide. Checkpoint files from another population, package
-    version, checkpoint schema, execution mode or transition table are
-    ignored (and reported), never served.
+    different specs never collide. Checkpoint files that fail their crc
+    or come from another population, package version, checkpoint
+    schema, execution mode or transition table are ignored (and
+    reported), never served.
 
     ``mode`` selects the device-day executor: ``"kernel"`` (the full
     event loop), ``"vector"`` (whole-shard columnar composition over
@@ -393,12 +394,15 @@ class FleetRunner:
                             "shard_{:06d}.json".format(shard_index))
 
     def _load_checkpoint(self, shard_index):
-        """A valid checkpoint's summary dict, or None."""
+        """A valid checkpoint's summary dict, or None. A missing file is
+        pending; an unreadable, unsealed or stale one is rejected."""
         try:
             with open(self._checkpoint_path(shard_index)) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
+                payload = unseal(handle.read(), "summary")
+        except FileNotFoundError:
             return None
+        except (OSError, ValueError):
+            payload = {}
         summary = payload.get("summary")
         start, stop = self.population.shard_range(shard_index)
         if (payload.get("version") != __version__
@@ -422,19 +426,11 @@ class FleetRunner:
 
     def _write_checkpoint(self, shard_index, summary):
         os.makedirs(self.checkpoint_dir, exist_ok=True)
-        payload = {"version": __version__, "summary": summary}
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.checkpoint_dir, suffix=".tmp", delete=False)
-        # Atomic publish: a kill mid-write leaves no torn checkpoint.
-        try:
-            with handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(handle.name, self._checkpoint_path(shard_index))
+        try:  # a failed write only costs a recompute on resume
+            atomic_write(self._checkpoint_path(shard_index), seal(
+                {"version": __version__, "summary": summary}, "summary"))
         except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
+            pass
 
     # -- execution ---------------------------------------------------------
 

@@ -20,14 +20,12 @@ the fleet reports use. The report is canonical JSON (key-sorted,
 compact, no timestamps) so determinism goldens can pin its sha256.
 """
 
-import json
-
 from repro.experiments.grid import (
     FuncSpec,
     GridRunner,
     resolve_mitigation_factory,
 )
-from repro.fleet.report import _metric_block
+from repro.fleet.report import _metric_block, report_json
 from repro.fleet.stats import FleetStats, wilson_interval
 from repro.scenarios.catalog import ScenarioCatalog
 
@@ -248,11 +246,6 @@ def build_report(catalog, by_mitigation, minutes, seed):
         "seed": int(seed),
         "mitigations": mitigations,
     }
-
-
-def report_json(report):
-    """Canonical JSON (key-sorted, compact) -- the golden-able artifact."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def render_report(report):

@@ -17,9 +17,10 @@ Journal record form (sort-keyed, compact)::
 
     {"crc":"1a2b3c4d","data":{...},"op":"acquire","seq":7,"t":42.5}
 
-Snapshot form (``snapshot-<seq8>.json``, atomic tmp+rename)::
+Snapshot form (``snapshot-<seq8>.json``, a :mod:`repro.persist` seal
+over ``state``, published atomically)::
 
-    {"schema":1,"seq":12,"state":{...canonical state...},"crc":"..."}
+    {"crc":"...","schema":1,"seq":12,"state":{...canonical state...}}
 
 Recovery (:meth:`IStorage.load`) returns the newest *valid* snapshot,
 the journal records strictly after it, and a :class:`RecoveryInfo`
@@ -38,12 +39,18 @@ durable, ``"torn"`` kills it mid-write leaving a partial line, and
 silent bitrot for recovery to catch.
 """
 
-import binascii
 import json
 import os
-import tempfile
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+from repro.persist import (
+    atomic_write,
+    canonical_json,
+    crc32_hex,
+    seal,
+    unseal,
+)
 
 #: Environment variable arming journal persistence for simulations
 #: (see :mod:`repro.service.wiring`): its value is the journal root.
@@ -80,38 +87,22 @@ class RecoveryInfo:
     reason: str = ""              # "", "torn_tail", "corrupt_record", ...
 
     def as_dict(self):
-        return {
-            "snapshot_seq": self.snapshot_seq,
-            "records_total": self.records_total,
-            "records_replayed": self.records_replayed,
-            "records_dropped": self.records_dropped,
-            "snapshots_invalid": self.snapshots_invalid,
-            "degraded": self.degraded,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 # -- record encoding ----------------------------------------------------------
 
-def record_body(seq, op, t, data):
-    """The crc-covered part of a record, as canonical JSON text."""
-    return json.dumps({"seq": seq, "op": op, "t": t, "data": data},
-                      sort_keys=True, separators=(",", ":"))
-
-
 def record_crc(seq, op, t, data):
     """crc32 of the canonical record body, as 8 hex digits."""
-    return "{:08x}".format(
-        binascii.crc32(record_body(seq, op, t, data).encode("utf-8"))
-        & 0xFFFFFFFF)
+    return crc32_hex(canonical_json(
+        {"seq": seq, "op": op, "t": t, "data": data}))
 
 
 def encode_record(seq, op, t, data, crc=None):
     """One journal line (no newline), crc filled in unless given."""
-    return json.dumps(
+    return canonical_json(
         {"seq": seq, "op": op, "t": t, "data": data,
-         "crc": crc if crc is not None else record_crc(seq, op, t, data)},
-        sort_keys=True, separators=(",", ":"))
+         "crc": crc if crc is not None else record_crc(seq, op, t, data)})
 
 
 def decode_record(line):
@@ -266,33 +257,12 @@ class JournalStorage(IStorage):
                             "snapshot-{:08d}.json".format(seq))
 
     def snapshot(self, state_canonical):
-        """Write ``snapshot-<seq>.json`` atomically (tmp + rename)."""
+        """Write ``snapshot-<seq>.json``: sealed, published atomically."""
         self.flush()
         seq = state_canonical["op_seq"]
-        state_json = json.dumps(state_canonical, sort_keys=True,
-                                separators=(",", ":"))
-        payload = {
-            "schema": JOURNAL_SCHEMA,
-            "seq": seq,
-            "state": state_canonical,
-            "crc": "{:08x}".format(
-                binascii.crc32(state_json.encode("utf-8")) & 0xFFFFFFFF),
-        }
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, suffix=".tmp", delete=False)
-        try:
-            with handle:
-                json.dump(payload, handle, sort_keys=True,
-                          separators=(",", ":"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(handle.name, self._snapshot_path(seq))
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._snapshot_path(seq), seal(
+            {"schema": JOURNAL_SCHEMA, "seq": seq,
+             "state": state_canonical}, "state"))
         return self._snapshot_path(seq)
 
     def compact(self, state_canonical):
@@ -317,21 +287,7 @@ class JournalStorage(IStorage):
                     if record["seq"] >= seq:
                         kept.append(line.rstrip("\n"))
         self.compact_kept = len(kept)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, suffix=".tmp", delete=False)
-        try:
-            with handle:
-                for line in kept:
-                    handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(handle.name, self.path)
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, "".join(line + "\n" for line in kept))
         return path
 
     # -- recovery ----------------------------------------------------------
@@ -348,14 +304,8 @@ class JournalStorage(IStorage):
         for path in self.snapshot_files():
             try:
                 with open(path) as handle:
-                    payload = json.load(handle)
-                state_json = json.dumps(payload["state"], sort_keys=True,
-                                        separators=(",", ":"))
-                crc = "{:08x}".format(
-                    binascii.crc32(state_json.encode("utf-8"))
-                    & 0xFFFFFFFF)
+                    payload = unseal(handle.read(), "state")
                 if payload.get("schema") != JOURNAL_SCHEMA \
-                        or payload.get("crc") != crc \
                         or payload.get("seq") \
                         != payload["state"].get("op_seq"):
                     raise ValueError("snapshot failed validation")

@@ -28,6 +28,8 @@ gapless per (file, stream).
 import json
 import os
 
+from repro import persist
+
 #: Bump on incompatible stream changes; events carry it as ``v``.
 SCHEMA_VERSION = 1
 
@@ -113,8 +115,7 @@ def canonical_events(events):
 
 def canonical_json(events):
     """Canonical bytes of a stream (for digests and goldens)."""
-    return "\n".join(json.dumps(event, sort_keys=True,
-                                separators=(",", ":"))
+    return "\n".join(persist.canonical_json(event)
                      for event in canonical_events(events))
 
 

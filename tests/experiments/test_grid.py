@@ -360,16 +360,42 @@ def test_corrupt_cache_entry_is_discarded_from_disk(tmp_path):
 
 
 def test_undecodable_cache_payload_is_discarded(tmp_path):
-    import json
     import os
+
+    from repro.persist import seal
 
     cache = ResultCache(str(tmp_path))
     spec = FuncSpec.make(_five)
     cache.store(spec, 5)
     path = cache._path(cache.key_for(spec))
+    # Correctly sealed, so decoding (not the crc) is what rejects it.
     with open(path, "w") as handle:
-        json.dump({"spec": spec.cache_token(),
-                   "result": {"__dataclass__": "no.such:Thing",
-                              "fields": {}}}, handle)
+        handle.write(seal({"spec": spec.cache_token(),
+                           "result": {"__dataclass__": "no.such:Thing",
+                                      "fields": {}}}, "result"))
     assert cache.load(spec) is None  # valid JSON, bogus payload
     assert not os.path.exists(path)
+
+
+def test_tampered_cache_entry_is_discarded_and_recomputed(tmp_path):
+    import json
+    import os
+    import re
+
+    cache = ResultCache(str(tmp_path))
+    spec = FuncSpec.make(_five)
+    cache.store(spec, 5)
+    path = cache._path(cache.key_for(spec))
+    with open(path) as handle:
+        text = handle.read()
+    tampered, changed = re.subn(r'("result":\s*)5', r"\g<1>6", text)
+    assert changed == 1
+    json.loads(tampered)  # still valid JSON: only the crc can tell
+    with open(path, "w") as handle:
+        handle.write(tampered)
+    runner = GridRunner(cache=cache)
+    assert runner.run_one(spec) == 5
+    assert runner.stats.cache_misses == 1
+    assert runner.stats.executed == 1
+    with open(path) as handle:
+        assert handle.read() == text

@@ -9,6 +9,7 @@ from repro.experiments.grid import GridRunner
 from repro.fleet.population import PopulationSpec
 from repro.fleet.report import build_report, report_json
 from repro.fleet.shard import FleetRunner, run_shard, simulate_device_day
+from repro.persist import seal, unseal
 
 #: Small-but-real population shared by the tests below (module-scoped
 #: fixtures keep the suite fast: one simulation, many assertions).
@@ -101,31 +102,77 @@ def test_completed_run_resumes_without_rerunning(full_run):
     assert report_json(build_report(POP, merged)) == uninterrupted
 
 
+def _tamper_digit(text, anchor):
+    """Change one digit of the first number after ``anchor``; the text
+    stays valid JSON, so only a crc can tell."""
+    index = text.index(anchor) + len(anchor)
+    while not text[index].isdigit():
+        index += 1
+    digit = "1" if text[index] != "1" else "2"
+    return text[:index] + digit + text[index + 1:]
+
+
 def test_stale_checkpoints_rejected_not_served(full_run, tmp_path):
     runner, __, __ = full_run
     ck = str(tmp_path / "fleet-stale")
     os.makedirs(ck)
     source = os.path.join(runner.checkpoint_dir, "shard_000000.json")
     with open(source) as handle:
-        payload = json.load(handle)
+        payload = unseal(handle.read(), "summary")
+    del payload["crc"]
 
+    # Each bad file is resealed, so its crc is valid and the check
+    # named in the comment is what rejects it.
     # Wrong population fingerprint -> ignored.
     bad = json.loads(json.dumps(payload))
     bad["summary"]["population"] = "0" * 64
     with open(os.path.join(ck, "shard_000000.json"), "w") as handle:
-        json.dump(bad, handle)
+        handle.write(seal(bad, "summary"))
     # Wrong package version -> ignored.
     bad = json.loads(json.dumps(payload))
     bad["version"] = "0.0.0"
     with open(os.path.join(ck, "shard_000001.json"), "w") as handle:
-        json.dump(bad, handle)
+        handle.write(seal(bad, "summary"))
     # Corrupt JSON -> ignored.
     with open(os.path.join(ck, "shard_000002.json"), "w") as handle:
         handle.write("{not json")
 
     probe = FleetRunner(POP, runner=_uncached_runner(), checkpoint_dir=ck)
     assert probe.pending_shards() == list(range(POP.shard_count))
-    assert probe.checkpoints_rejected >= 2
+    assert probe.checkpoints_rejected == 3
+
+
+def test_tampered_checkpoint_is_rejected_and_recomputed(full_run,
+                                                        tmp_path):
+    __, merged, uninterrupted = full_run
+    ck = str(tmp_path / "fleet-tampered")
+    first = FleetRunner(POP, runner=_uncached_runner(), checkpoint_dir=ck)
+    assert first.run(limit=1) is None
+    path = os.path.join(ck, "shard_000000.json")
+    with open(path) as handle:
+        text = handle.read()
+    tampered = _tamper_digit(text, '"mean":')
+    json.loads(tampered)  # still valid JSON
+    with open(path, "w") as handle:
+        handle.write(tampered)
+
+    second = FleetRunner(POP, runner=_uncached_runner(), checkpoint_dir=ck)
+    resumed = second.run()
+    assert second.checkpoints_rejected == 1
+    assert second.rejected_shards == {0}
+    assert second.shards_resumed == 0
+    assert second.shards_run == POP.shard_count
+    # The recomputed shard, not the tampered number, is what merged.
+    assert report_json(build_report(POP, resumed)) == uninterrupted
+    with open(path) as handle:
+        assert handle.read() == text
+
+
+def test_missing_checkpoint_is_pending_not_rejected(tmp_path):
+    probe = FleetRunner(POP, runner=_uncached_runner(),
+                        checkpoint_dir=str(tmp_path / "empty"))
+    assert probe.pending_shards() == list(range(POP.shard_count))
+    assert probe.checkpoints_rejected == 0
 
 
 def test_merged_stats_requires_every_shard(tmp_path):

@@ -5,6 +5,8 @@ import json
 
 from contextlib import redirect_stdout
 
+import pytest
+
 from repro.experiments.grid import FuncSpec
 from repro.resilience.manifest import (
     AttemptRecord,
@@ -50,6 +52,29 @@ def test_manifest_round_trips_through_disk(tmp_path):
     data = json.loads(open(path).read())
     assert data["kind"] == "failure_manifest"
     assert data["failed_jobs"] == 1
+
+
+def test_failed_manifest_rewrite_keeps_the_old_file(tmp_path,
+                                                   monkeypatch):
+    import os
+
+    manifest = FailureManifest(run_fingerprint="abc123def456")
+    manifest.add(_record(_chaos_spec()))
+    path = manifest.write(directory=str(tmp_path))
+    with open(path, "rb") as handle:
+        before = handle.read()
+    manifest.add(_record(_chaos_spec(seed=8), label="job:0001:x"))
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        manifest.write(directory=str(tmp_path))
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+    assert not [name for name in os.listdir(str(tmp_path))
+                if name.endswith(".tmp")]
 
 
 def test_fingerprint_derived_from_specs_when_unset():
